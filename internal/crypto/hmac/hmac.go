@@ -7,31 +7,52 @@ package hmac
 
 import "hash"
 
-// New returns an HMAC instance keyed with key over the hash produced by h.
-// The returned value satisfies hash.Hash.
+// stateHash is a hash whose state can be copied from another instance of
+// the same type without allocating; this repository's SHA-1 and MD5
+// digests implement it with a struct copy. HMAC keeps the states after
+// the key pads and restores them, instead of hashing the pads again, on
+// every Reset and Sum.
+type stateHash interface {
+	hash.Hash
+	SetState(src hash.Hash)
+}
+
+// New returns an HMAC instance keyed with key over the hash produced by h,
+// which must implement SetState(src hash.Hash) as this repository's
+// SHA-1 and MD5 digests do. The returned value satisfies hash.Hash.
 func New(h func() hash.Hash, key []byte) hash.Hash {
-	hm := &hmac{inner: h(), outer: h()}
+	mk := func() stateHash {
+		d, ok := h().(stateHash)
+		if !ok {
+			panic("hmac: hash does not implement SetState")
+		}
+		return d
+	}
+	hm := &hmac{inner: mk(), outer: mk(), innerKeyed: mk(), outerKeyed: mk()}
 	bs := hm.inner.BlockSize()
-	hm.ipad = make([]byte, bs)
-	hm.opad = make([]byte, bs)
 	if len(key) > bs {
 		hm.outer.Write(key)
 		key = hm.outer.Sum(nil)
 		hm.outer.Reset()
 	}
-	copy(hm.ipad, key)
-	copy(hm.opad, key)
-	for i := range hm.ipad {
-		hm.ipad[i] ^= 0x36
-		hm.opad[i] ^= 0x5c
+	ipad := make([]byte, bs)
+	opad := make([]byte, bs)
+	copy(ipad, key)
+	copy(opad, key)
+	for i := range ipad {
+		ipad[i] ^= 0x36
+		opad[i] ^= 0x5c
 	}
-	hm.inner.Write(hm.ipad)
+	hm.innerKeyed.Write(ipad)
+	hm.outerKeyed.Write(opad)
+	hm.inner.SetState(hm.innerKeyed)
 	return hm
 }
 
 type hmac struct {
-	inner, outer hash.Hash
-	ipad, opad   []byte
+	inner, outer stateHash
+	// The states right after absorbing key⊕ipad and key⊕opad.
+	innerKeyed, outerKeyed stateHash
 }
 
 func (h *hmac) Write(p []byte) (int, error) { return h.inner.Write(p) }
@@ -40,16 +61,12 @@ func (h *hmac) Size() int { return h.inner.Size() }
 
 func (h *hmac) BlockSize() int { return h.inner.BlockSize() }
 
-func (h *hmac) Reset() {
-	h.inner.Reset()
-	h.inner.Write(h.ipad)
-}
+func (h *hmac) Reset() { h.inner.SetState(h.innerKeyed) }
 
 func (h *hmac) Sum(in []byte) []byte {
 	mark := len(in)
 	in = h.inner.Sum(in)
-	h.outer.Reset()
-	h.outer.Write(h.opad)
+	h.outer.SetState(h.outerKeyed)
 	h.outer.Write(in[mark:])
 	return h.outer.Sum(in[:mark])
 }

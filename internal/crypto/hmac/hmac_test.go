@@ -155,3 +155,25 @@ func BenchmarkHMACSHA1_1K(b *testing.B) {
 		h.Sum(nil)
 	}
 }
+
+// TestReuseAfterResetAndSum: the saved pad states carry an instance
+// through any number of Sum and Reset cycles.
+func TestReuseAfterResetAndSum(t *testing.T) {
+	key := []byte("reuse key")
+	for _, hs := range []struct{ ours, std func() hash.Hash }{{ourSHA1, stdsha1.New}, {ourMD5, stdmd5.New}} {
+		mac := New(hs.ours, key)
+		for i, msg := range []string{"first", "", "third message, longer than nothing"} {
+			mac.Reset()
+			mac.Write([]byte(msg))
+			first := mac.Sum(nil)
+			if again := mac.Sum([]byte("prefix")); !bytes.Equal(again[6:], first) {
+				t.Fatalf("message %d: second Sum differs", i)
+			}
+			ref := stdhmac.New(hs.std, key)
+			ref.Write([]byte(msg))
+			if want := ref.Sum(nil); !bytes.Equal(first, want) {
+				t.Fatalf("message %d: got %x, want %x", i, first, want)
+			}
+		}
+	}
+}

@@ -5,7 +5,11 @@
 // are the low-cost end of the flexibility spectrum analyzed there.
 package md5
 
-import "repro/internal/crypto/bitutil"
+import (
+	"hash"
+
+	"repro/internal/crypto/bitutil"
+)
 
 // Size is the MD5 digest size in bytes.
 const Size = 16
@@ -34,6 +38,10 @@ func (d *Digest) Reset() {
 	d.nx = 0
 	d.len = 0
 }
+
+// SetState copies the state of src, which must be a *Digest, into d.
+// HMAC uses it to restore its keyed states without re-hashing the pads.
+func (d *Digest) SetState(src hash.Hash) { *d = *src.(*Digest) }
 
 // Size returns the digest size (16).
 func (d *Digest) Size() int { return Size }

@@ -7,15 +7,25 @@
 // attack on modular exponentiation [47] as the canonical side-channel.
 // Real timing attacks exploit the data-dependent "extra reduction" at the
 // end of a Montgomery multiplication; this package implements genuine
-// Montgomery reduction (REDC) over math/big and *meters* each operation in
-// simulated cycles of a 32-bit embedded CPU, so the attack in
-// internal/attack/timing operates on exactly the signal the literature
-// describes — deterministically and without wall-clock noise.
+// Montgomery multiplication (word-serial CIOS over 64-bit limbs) and
+// *meters* each operation in simulated cycles of a 32-bit embedded CPU,
+// so the attack in internal/attack/timing operates on exactly the signal
+// the literature describes — deterministically and without wall-clock
+// noise.
+//
+// The Montgomery radix is R = 2^(32·words), where words is the modulus
+// length in simulated 32-bit CPU words, whatever the host limb size. A
+// REDC result (t + m·N)/R is unique for a given R, so every product,
+// every extra-reduction flag and every cycle charge is the one a 32-bit
+// implementation would see. With an odd word count the last reduction
+// step is a half-limb (32-bit) step that keeps R exact.
 package mp
 
 import (
 	"errors"
 	"math/big"
+	"math/bits"
+	"sync"
 )
 
 // WordBits is the simulated embedded-CPU word size. The paper's subject
@@ -53,14 +63,20 @@ func (m *CycleMeter) Reset() {
 var ErrEvenModulus = errors.New("mp: modulus must be odd and > 1")
 
 // MontCtx holds precomputed Montgomery parameters for an odd modulus N.
+// It is safe for concurrent use: each operation borrows its working
+// registers from a per-context pool.
 type MontCtx struct {
-	N      *big.Int
-	rbits  uint     // R = 2^rbits, a whole number of words
-	rMask  *big.Int // R-1
-	nPrime *big.Int // -N^{-1} mod R
-	rr     *big.Int // R^2 mod N, converts into Montgomery form
-	one    *big.Int // R mod N, the Montgomery representation of 1
-	words  int      // modulus length in simulated CPU words
+	N     *big.Int
+	words int // modulus length in simulated CPU words; R = 2^(32·words)
+
+	limbs int      // 64-bit limbs per residue, ceil(words/2)
+	n     []uint64 // N, little-endian limbs
+	n0inv uint64   // -N^{-1} mod 2^64
+	rr    []uint64 // R^2 mod N, converts into Montgomery form
+	one   []uint64 // R mod N, the Montgomery representation of 1
+	unit  []uint64 // the plain integer 1, converts out of Montgomery form
+
+	scratch sync.Pool // *regs
 
 	// Per-operation cycle costs, derived from the word count. A k-word
 	// operand costs ~k^2 word multiplies for a multiplication, squares
@@ -74,29 +90,32 @@ func NewMontCtx(n *big.Int) (*MontCtx, error) {
 		return nil, ErrEvenModulus
 	}
 	words := (n.BitLen() + WordBits - 1) / WordBits
-	rbits := uint(words * WordBits)
-	r := new(big.Int).Lsh(big.NewInt(1), rbits)
-	rMask := new(big.Int).Sub(r, big.NewInt(1))
-	inv := new(big.Int).ModInverse(n, r)
-	if inv == nil {
-		return nil, ErrEvenModulus
+	limbs := (words + 1) / 2
+	c := &MontCtx{
+		N:     new(big.Int).Set(n),
+		words: words,
+		limbs: limbs,
 	}
-	nPrime := new(big.Int).Sub(r, inv) // -N^{-1} mod R
-	rr := new(big.Int).Mod(new(big.Int).Mul(r, r), n)
-	one := new(big.Int).Mod(r, n)
+	c.n = c.limbsOf(n)
+	// Newton iteration for N^{-1} mod 2^64: an odd n0 is its own inverse
+	// mod 8, and each step doubles the number of correct low bits.
+	n0 := c.n[0]
+	inv := n0
+	for i := 0; i < 5; i++ {
+		inv *= 2 - n0*inv
+	}
+	c.n0inv = -inv
+	r := new(big.Int).Lsh(big.NewInt(1), uint(words*WordBits))
+	c.one = c.limbsOf(new(big.Int).Mod(r, n))
+	c.rr = c.limbsOf(new(big.Int).Mod(r.Mul(r, r), n))
+	c.unit = make([]uint64, limbs)
+	c.unit[0] = 1
+	c.scratch.New = func() any { return c.newRegs() }
 	w := uint64(words)
-	return &MontCtx{
-		N:          new(big.Int).Set(n),
-		rbits:      rbits,
-		rMask:      rMask,
-		nPrime:     nPrime,
-		rr:         rr,
-		one:        one,
-		words:      words,
-		costMul:    4*w*w + 6*w,
-		costSquare: 3*w*w + 6*w,
-		costExtra:  2 * w,
-	}, nil
+	c.costMul = 4*w*w + 6*w
+	c.costSquare = 3*w*w + 6*w
+	c.costExtra = 2 * w
+	return c, nil
 }
 
 // Words returns the modulus length in simulated CPU words.
@@ -106,43 +125,322 @@ func (c *MontCtx) Words() int { return c.words }
 // conditional subtraction — the quantity a timing attacker estimates.
 func (c *MontCtx) CostExtraReduction() uint64 { return c.costExtra }
 
-// redc computes t·R^{-1} mod N for t < R·N, reporting whether the final
-// conditional subtraction ("extra reduction") fired.
-func (c *MontCtx) redc(t *big.Int) (*big.Int, bool) {
-	m := new(big.Int).And(t, c.rMask)
-	m.Mul(m, c.nPrime)
-	m.And(m, c.rMask)
-	u := new(big.Int).Mul(m, c.N)
-	u.Add(u, t)
-	u.Rsh(u, c.rbits)
-	extra := u.Cmp(c.N) >= 0
-	if extra {
-		u.Sub(u, c.N)
+// ExpCycleCosts reports the simulated (square, multiply, extra) costs so
+// the cost model in internal/cost and the attack threshold can share them.
+func (c *MontCtx) ExpCycleCosts() (square, mul, extra uint64) {
+	return c.costSquare, c.costMul, c.costExtra
+}
+
+// limbsOf converts 0 <= x < 2^(64·limbs) into a fresh limb slice.
+func (c *MontCtx) limbsOf(x *big.Int) []uint64 {
+	z := make([]uint64, c.limbs)
+	load(z, x)
+	return z
+}
+
+// load writes 0 <= x < 2^(64·len(z)) into z, zero-filling the top.
+func load(z []uint64, x *big.Int) {
+	clear(z)
+	for i, w := range x.Bits() {
+		if bits.UintSize == 32 {
+			z[i/2] |= uint64(w) << (32 * uint(i%2))
+		} else {
+			z[i] = uint64(w)
+		}
 	}
-	return u, extra
+}
+
+// toBig returns the limbs of x as a new big.Int.
+func toBig(x []uint64) *big.Int {
+	ws := make([]big.Word, len(x)*64/bits.UintSize)
+	for i := range ws {
+		if bits.UintSize == 32 {
+			ws[i] = big.Word(x[i/2] >> (32 * uint(i%2)))
+		} else {
+			ws[i] = big.Word(x[i])
+		}
+	}
+	return new(big.Int).SetBits(ws)
+}
+
+// montMul sets z = x·y·R^{-1} mod N for x, y < N and reports whether the
+// final conditional subtraction ("extra reduction") fired. It is CIOS
+// Montgomery multiplication: each 64-bit digit of x is multiplied in and
+// reduced away in one pass over the limbs, and an odd word count ends on
+// a 32-bit digit so that the radix stays 2^(32·words). t is scratch of
+// limbs+2 words; z may alias x or y.
+func (c *MontCtx) montMul(z, x, y, t []uint64) bool {
+	n := c.n
+	L := len(n)
+	x, y, t = x[:L], y[:L], t[:L+2]
+	n0inv := c.n0inv
+	clear(t)
+	full := c.words / 2 // whole 64-bit reduction steps
+	for i := 0; i < full; i++ {
+		// t = (t + d·y + m·N) / 2^64, with m chosen so the low limb
+		// vanishes. The two carry chains run side by side.
+		d := x[i]
+		hi, lo := bits.Mul64(d, y[0])
+		lo, cc := bits.Add64(lo, t[0], 0)
+		ca := hi + cc
+		m := lo * n0inv
+		hi, lo2 := bits.Mul64(m, n[0])
+		_, cc = bits.Add64(lo, lo2, 0)
+		cb := hi + cc
+		for j := 1; j < L; j++ {
+			hi, lo := bits.Mul64(d, y[j])
+			lo, cc := bits.Add64(lo, t[j], 0)
+			hi += cc
+			lo, cc = bits.Add64(lo, ca, 0)
+			ca = hi + cc
+			hi, lo2 := bits.Mul64(m, n[j])
+			lo, cc = bits.Add64(lo, lo2, 0)
+			hi += cc
+			lo, cc = bits.Add64(lo, cb, 0)
+			cb = hi + cc
+			t[j-1] = lo
+		}
+		s, c1 := bits.Add64(t[L], ca, 0)
+		s, c2 := bits.Add64(s, cb, 0)
+		t[L-1] = s
+		t[L] = c1 + c2
+	}
+	if c.words%2 == 1 {
+		// Half step: the top digit of x is below 2^32, and the reduction
+		// divides by 2^32 only.
+		mulAdd(t, x[L-1], y)
+		mulAdd(t, (t[0]*n0inv)&0xffffffff, n)
+		for j := 0; j <= L; j++ {
+			t[j] = t[j]>>32 | t[j+1]<<32
+		}
+		t[L+1] = 0
+	}
+	// t < 2N: subtract N once if t >= N.
+	extra := t[L] != 0 || !less(t[:L], n)
+	if extra {
+		var b uint64
+		for j := 0; j < L; j++ {
+			t[j], b = bits.Sub64(t[j], n[j], b)
+		}
+	}
+	copy(z, t[:L])
+	return extra
+}
+
+// mulAdd sets t += d·y, where t has two more limbs than y.
+func mulAdd(t []uint64, d uint64, y []uint64) {
+	L := len(y)
+	var carry uint64
+	for j := 0; j < L; j++ {
+		hi, lo := bits.Mul64(d, y[j])
+		lo, cc := bits.Add64(lo, t[j], 0)
+		hi += cc
+		lo, cc = bits.Add64(lo, carry, 0)
+		t[j] = lo
+		carry = hi + cc
+	}
+	var cc uint64
+	t[L], cc = bits.Add64(t[L], carry, 0)
+	t[L+1] += cc
+}
+
+// less reports x < y for equal-length little-endian limbs.
+func less(x, y []uint64) bool {
+	for j := len(x) - 1; j >= 0; j-- {
+		if x[j] != y[j] {
+			return x[j] < y[j]
+		}
+	}
+	return false
+}
+
+// regs is one operation's working storage: the product accumulator and
+// the exponentiation registers, all carved from one allocation.
+type regs struct {
+	t     []uint64     // limbs+2
+	acc   []uint64     // accumulator / ladder r0
+	table [16][]uint64 // window table; table[1] holds the Montgomery base
+}
+
+func (c *MontCtx) newRegs() *regs {
+	L := c.limbs
+	buf := make([]uint64, L+2+17*L)
+	r := &regs{t: buf[:L+2]}
+	buf = buf[L+2:]
+	next := func() []uint64 {
+		s := buf[:L:L]
+		buf = buf[L:]
+		return s
+	}
+	r.acc = next()
+	for i := range r.table {
+		r.table[i] = next()
+	}
+	return r
+}
+
+// loadResidue writes x mod N into z.
+func (c *MontCtx) loadResidue(z []uint64, x *big.Int) {
+	if x.Sign() < 0 || x.Cmp(c.N) >= 0 {
+		x = new(big.Int).Mod(x, c.N)
+	}
+	load(z, x)
 }
 
 // ToMont converts x (reduced mod N) into Montgomery form.
 func (c *MontCtx) ToMont(x *big.Int) *big.Int {
-	t := new(big.Int).Mul(new(big.Int).Mod(x, c.N), c.rr)
-	v, _ := c.redc(t)
+	v, _ := c.mulOnce(x, nil, c.rr)
 	return v
 }
 
 // FromMont converts a Montgomery-form value back to the ordinary residue.
 func (c *MontCtx) FromMont(x *big.Int) *big.Int {
-	v, _ := c.redc(new(big.Int).Set(x))
+	v, _ := c.mulOnce(x, nil, c.unit)
 	return v
 }
 
-// MulMont multiplies two Montgomery-form values, reporting the
-// extra-reduction flag. This is the primitive the timing attack emulates.
+// MulMont multiplies two Montgomery-form values in [0, N), reporting the
+// extra-reduction flag. This is the primitive the timing attack
+// emulates; it runs the same kernel as the exponentiations.
 func (c *MontCtx) MulMont(a, b *big.Int) (*big.Int, bool) {
-	return c.redc(new(big.Int).Mul(a, b))
+	return c.mulOnce(a, b, nil)
+}
+
+// mulOnce is one Montgomery multiplication of a mod N by b mod N, or by
+// the limbs y when b is nil.
+func (c *MontCtx) mulOnce(a, b *big.Int, y []uint64) (*big.Int, bool) {
+	r := c.scratch.Get().(*regs)
+	defer c.scratch.Put(r)
+	x := r.acc
+	c.loadResidue(x, a)
+	if b != nil {
+		y = r.table[1]
+		c.loadResidue(y, b)
+	}
+	extra := c.montMul(x, x, y, r.t)
+	return toBig(x), extra
 }
 
 // One returns the Montgomery representation of 1.
-func (c *MontCtx) One() *big.Int { return new(big.Int).Set(c.one) }
+func (c *MontCtx) One() *big.Int { return toBig(c.one) }
+
+// schedule names the operation sequence an exponentiation runs.
+type schedule uint8
+
+const (
+	// squareMultiply is left-to-right square-and-multiply: a square per
+	// exponent bit, a multiply per set bit, each charged its cost plus
+	// the extra reduction when it fired. Its timing leaks the exponent.
+	squareMultiply schedule = iota
+	// ladder is the Montgomery ladder: one multiply and one square per
+	// bit, charged one uniform amount that includes an always-taken
+	// extra reduction.
+	ladder
+	// fixedWindow is 4-bit fixed-window exponentiation: fourteen table
+	// multiplies, then four squares and one table multiply per window.
+	fixedWindow
+)
+
+// windowBits is the fixed window width of the fixedWindow schedule.
+const windowBits = 4
+
+// exp computes base^e mod N under schedule s. Every operation is charged
+// to meter (nil allowed) and, when trace is non-nil, appended to it as
+// one sample: one per square or multiply, or one per ladder step.
+func (c *MontCtx) exp(base, e *big.Int, s schedule, meter *CycleMeter, trace *[]uint64) *big.Int {
+	if e.Sign() == 0 {
+		return new(big.Int).Mod(big.NewInt(1), c.N)
+	}
+	r := c.scratch.Get().(*regs)
+	defer c.scratch.Put(r)
+	c.loadResidue(r.table[1], base)
+	c.montMul(r.table[1], r.table[1], c.rr, r.t)
+	if trace != nil {
+		n := e.BitLen()
+		if s == squareMultiply {
+			for _, w := range e.Bits() {
+				n += bits.OnesCount(uint(w))
+			}
+		}
+		*trace = make([]uint64, 0, n)
+	}
+	c.drive(r, e.Bits(), e.BitLen(), s, meter, trace)
+	c.montMul(r.acc, r.acc, c.unit, r.t)
+	return toBig(r.acc)
+}
+
+// bit returns bit i of the little-endian word slice e, 0 past its end.
+func bit(e []big.Word, i int) uint {
+	if w := i / bits.UintSize; w < len(e) {
+		return uint(e[w]>>(uint(i)%bits.UintSize)) & 1
+	}
+	return 0
+}
+
+// drive runs the schedule over the registers: r.table[1] holds the base
+// in Montgomery form, and the result is left in r.acc, still in
+// Montgomery form. It allocates nothing unless trace outgrows its
+// capacity.
+func (c *MontCtx) drive(r *regs, e []big.Word, nbits int, s schedule, meter *CycleMeter, trace *[]uint64) {
+	// op multiplies x by y into z and charges cost, plus the extra
+	// reduction when it fired.
+	op := func(z, x, y []uint64, cost uint64) {
+		if c.montMul(z, x, y, r.t) {
+			cost += c.costExtra
+		}
+		meter.Add(cost)
+		if trace != nil {
+			*trace = append(*trace, cost)
+		}
+	}
+	acc, b := r.acc, r.table[1]
+	copy(acc, c.one)
+	switch s {
+	case squareMultiply:
+		for i := nbits - 1; i >= 0; i-- {
+			op(acc, acc, acc, c.costSquare)
+			if bit(e, i) == 1 {
+				op(acc, acc, b, c.costMul)
+			}
+		}
+	case ladder:
+		// r0 = acc, r1 = b. Flags are discarded: the uniform charge
+		// already includes the extra reduction.
+		uniform := c.costMul + c.costSquare + c.costExtra
+		for i := nbits - 1; i >= 0; i-- {
+			if bit(e, i) == 0 {
+				c.montMul(b, acc, b, r.t)
+				c.montMul(acc, acc, acc, r.t)
+			} else {
+				c.montMul(acc, acc, b, r.t)
+				c.montMul(b, b, b, r.t)
+			}
+			meter.Add(uniform)
+			if trace != nil {
+				*trace = append(*trace, uniform)
+			}
+		}
+	case fixedWindow:
+		// Every window performs four squares and one table multiply
+		// (by the Montgomery 1 for a zero window), so the sequence
+		// depends on the exponent's length only.
+		t := &r.table
+		copy(t[0], c.one)
+		for w := 2; w < len(t); w++ {
+			op(t[w], t[w-1], b, c.costMul)
+		}
+		for wi := (nbits+windowBits-1)/windowBits - 1; wi >= 0; wi-- {
+			for k := 0; k < windowBits; k++ {
+				op(acc, acc, acc, c.costSquare)
+			}
+			w := uint(0)
+			for k := windowBits - 1; k >= 0; k-- {
+				w = w<<1 | bit(e, wi*windowBits+k)
+			}
+			op(acc, acc, t[w], c.costMul)
+		}
+	}
+}
 
 // ModExp computes base^exp mod N with a left-to-right square-and-multiply
 // over Montgomery arithmetic. Its simulated timing (accumulated into
@@ -151,27 +449,18 @@ func (c *MontCtx) One() *big.Int { return new(big.Int).Set(c.one) }
 // squares and multiplies, and each operation may or may not incur the
 // extra-reduction subtraction.
 func (c *MontCtx) ModExp(base, exp *big.Int, meter *CycleMeter) *big.Int {
-	if exp.Sign() == 0 {
-		return new(big.Int).Mod(big.NewInt(1), c.N)
-	}
-	bm := c.ToMont(base)
-	acc := c.One()
-	var extra bool
-	for i := exp.BitLen() - 1; i >= 0; i-- {
-		acc, extra = c.MulMont(acc, acc)
-		meter.Add(c.costSquare)
-		if extra {
-			meter.Add(c.costExtra)
-		}
-		if exp.Bit(i) == 1 {
-			acc, extra = c.MulMont(acc, bm)
-			meter.Add(c.costMul)
-			if extra {
-				meter.Add(c.costExtra)
-			}
-		}
-	}
-	return c.FromMont(acc)
+	return c.exp(base, exp, squareMultiply, meter, nil)
+}
+
+// ModExpWithTrace is ModExp with a per-operation duration trace — the
+// signal a simple power analysis (SPA) probe sees: one amplitude sample
+// per modular operation. Squares and multiplies have different durations,
+// so the operation sequence (and with it the exponent) is readable
+// straight off the trace; internal/attack/spa does exactly that.
+func (c *MontCtx) ModExpWithTrace(base, exp *big.Int, meter *CycleMeter) (*big.Int, []uint64) {
+	var trace []uint64
+	v := c.exp(base, exp, squareMultiply, meter, &trace)
+	return v, trace
 }
 
 // ModExpConstTime computes base^exp mod N with a Montgomery ladder whose
@@ -181,28 +470,17 @@ func (c *MontCtx) ModExp(base, exp *big.Int, meter *CycleMeter) *big.Int {
 // always executes the subtraction and discards it when unneeded). This is
 // the countermeasure of Section 3.4 in executable form.
 func (c *MontCtx) ModExpConstTime(base, exp *big.Int, meter *CycleMeter) *big.Int {
-	if exp.Sign() == 0 {
-		return new(big.Int).Mod(big.NewInt(1), c.N)
-	}
-	r0 := c.One()
-	r1 := c.ToMont(base)
-	for i := exp.BitLen() - 1; i >= 0; i-- {
-		if exp.Bit(i) == 0 {
-			r1, _ = c.MulMont(r0, r1)
-			r0, _ = c.MulMont(r0, r0)
-		} else {
-			r0, _ = c.MulMont(r0, r1)
-			r1, _ = c.MulMont(r1, r1)
-		}
-		// Uniform charge: mul + square + one always-taken extra
-		// reduction, independent of data and key bits.
-		meter.Add(c.costMul + c.costSquare + c.costExtra)
-	}
-	return c.FromMont(r0)
+	return c.exp(base, exp, ladder, meter, nil)
 }
 
-// windowBits is the fixed window width used by ModExpWindow.
-const windowBits = 4
+// ModExpConstTimeWithTrace is the Montgomery-ladder counterpart: every
+// iteration emits one uniform sample, so the trace is flat and carries no
+// key information.
+func (c *MontCtx) ModExpConstTimeWithTrace(base, exp *big.Int, meter *CycleMeter) (*big.Int, []uint64) {
+	var trace []uint64
+	v := c.exp(base, exp, ladder, meter, &trace)
+	return v, trace
+}
 
 // ModExpWindow computes base^exp mod N with a 4-bit fixed-window
 // exponentiation over Montgomery arithmetic. Every window performs exactly
@@ -214,104 +492,5 @@ const windowBits = 4
 // ModExp remains the deliberately leaky variant the side-channel attacks
 // consume — its operation sequence must not change.
 func (c *MontCtx) ModExpWindow(base, exp *big.Int, meter *CycleMeter) *big.Int {
-	if exp.Sign() == 0 {
-		return new(big.Int).Mod(big.NewInt(1), c.N)
-	}
-	var table [1 << windowBits]*big.Int
-	table[0] = c.One()
-	table[1] = c.ToMont(base)
-	var extra bool
-	for w := 2; w < len(table); w++ {
-		table[w], extra = c.MulMont(table[w-1], table[1])
-		meter.Add(c.costMul)
-		if extra {
-			meter.Add(c.costExtra)
-		}
-	}
-	windows := (exp.BitLen() + windowBits - 1) / windowBits
-	acc := c.One()
-	for wi := windows - 1; wi >= 0; wi-- {
-		for s := 0; s < windowBits; s++ {
-			acc, extra = c.MulMont(acc, acc)
-			meter.Add(c.costSquare)
-			if extra {
-				meter.Add(c.costExtra)
-			}
-		}
-		w := 0
-		for b := windowBits - 1; b >= 0; b-- {
-			w = w<<1 | int(exp.Bit(wi*windowBits+b))
-		}
-		acc, extra = c.MulMont(acc, table[w])
-		meter.Add(c.costMul)
-		if extra {
-			meter.Add(c.costExtra)
-		}
-	}
-	return c.FromMont(acc)
-}
-
-// ExpCycleCosts reports the simulated (square, multiply, extra) costs so
-// the cost model in internal/cost and the attack threshold can share them.
-func (c *MontCtx) ExpCycleCosts() (square, mul, extra uint64) {
-	return c.costSquare, c.costMul, c.costExtra
-}
-
-// ModExpWithTrace is ModExp with a per-operation duration trace — the
-// signal a simple power analysis (SPA) probe sees: one amplitude sample
-// per modular operation. Squares and multiplies have different durations,
-// so the operation sequence (and with it the exponent) is readable
-// straight off the trace; internal/attack/spa does exactly that.
-func (c *MontCtx) ModExpWithTrace(base, exp *big.Int, meter *CycleMeter) (*big.Int, []uint64) {
-	if exp.Sign() == 0 {
-		return new(big.Int).Mod(big.NewInt(1), c.N), nil
-	}
-	var trace []uint64
-	bm := c.ToMont(base)
-	acc := c.One()
-	var extra bool
-	for i := exp.BitLen() - 1; i >= 0; i-- {
-		acc, extra = c.MulMont(acc, acc)
-		d := c.costSquare
-		if extra {
-			d += c.costExtra
-		}
-		trace = append(trace, d)
-		meter.Add(d)
-		if exp.Bit(i) == 1 {
-			acc, extra = c.MulMont(acc, bm)
-			d := c.costMul
-			if extra {
-				d += c.costExtra
-			}
-			trace = append(trace, d)
-			meter.Add(d)
-		}
-	}
-	return c.FromMont(acc), trace
-}
-
-// ModExpConstTimeWithTrace is the Montgomery-ladder counterpart: every
-// iteration emits one uniform sample, so the trace is flat and carries no
-// key information.
-func (c *MontCtx) ModExpConstTimeWithTrace(base, exp *big.Int, meter *CycleMeter) (*big.Int, []uint64) {
-	if exp.Sign() == 0 {
-		return new(big.Int).Mod(big.NewInt(1), c.N), nil
-	}
-	var trace []uint64
-	r0 := c.One()
-	r1 := c.ToMont(base)
-	uniform := c.costMul + c.costSquare + c.costExtra
-	for i := exp.BitLen() - 1; i >= 0; i-- {
-		if exp.Bit(i) == 0 {
-			r1, _ = c.MulMont(r0, r1)
-			r0, _ = c.MulMont(r0, r0)
-		} else {
-			r0, _ = c.MulMont(r0, r1)
-			r1, _ = c.MulMont(r1, r1)
-		}
-		trace = append(trace, uniform)
-		meter.Add(uniform)
-	}
-	return c.FromMont(r0), trace
+	return c.exp(base, exp, fixedWindow, meter, nil)
 }

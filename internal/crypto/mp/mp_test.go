@@ -349,9 +349,8 @@ func TestTracedZeroExponent(t *testing.T) {
 }
 
 func TestNewMontCtxEvenAfterValidation(t *testing.T) {
-	// Covers the ModInverse-failure branch defensively (even modulus is
-	// caught earlier, so construct an odd modulus that is fine and just
-	// assert success path fields).
+	// The smallest context: one simulated word, so the kernel runs its
+	// 32-bit half step only.
 	ctx, err := NewMontCtx(big.NewInt(9))
 	if err != nil || ctx.Words() != 1 {
 		t.Fatalf("ctx for 9: %v", err)

@@ -23,36 +23,48 @@ import (
 // experiment in this repository reproducible.
 type DRBG struct {
 	k, v    []byte
+	mac     hash.Hash // HMAC-SHA-1 keyed with k
 	reseeds int
 }
 
 // NewDRBG creates a DRBG seeded with the given entropy input.
 func NewDRBG(seed []byte) *DRBG {
-	d := &DRBG{
-		k: make([]byte, sha1.Size),
-		v: make([]byte, sha1.Size),
-	}
+	d := &DRBG{v: make([]byte, sha1.Size)}
 	for i := range d.v {
 		d.v[i] = 0x01
 	}
+	d.rekey(make([]byte, sha1.Size))
 	d.update(seed)
 	return d
 }
 
-func (d *DRBG) hmac(key []byte, parts ...[]byte) []byte {
-	h := hmac.New(func() hash.Hash { return sha1.New() }, key)
-	for _, p := range parts {
-		h.Write(p)
-	}
-	return h.Sum(nil)
+func newSHA1() hash.Hash { return sha1.New() }
+
+// rekey installs k as the HMAC key.
+func (d *DRBG) rekey(k []byte) {
+	d.k = k
+	d.mac = hmac.New(newSHA1, k)
 }
 
+// hmacInto sets dst = HMAC(k, parts...) under the current key, reusing
+// dst's storage. dst may be one of the parts: every part is absorbed
+// before the output is written.
+func (d *DRBG) hmacInto(dst []byte, parts ...[]byte) []byte {
+	d.mac.Reset()
+	for _, p := range parts {
+		d.mac.Write(p)
+	}
+	return d.mac.Sum(dst[:0])
+}
+
+var sep0, sep1 = []byte{0x00}, []byte{0x01}
+
 func (d *DRBG) update(provided []byte) {
-	d.k = d.hmac(d.k, d.v, []byte{0x00}, provided)
-	d.v = d.hmac(d.k, d.v)
+	d.rekey(d.hmacInto(d.k, d.v, sep0, provided))
+	d.v = d.hmacInto(d.v, d.v)
 	if len(provided) > 0 {
-		d.k = d.hmac(d.k, d.v, []byte{0x01}, provided)
-		d.v = d.hmac(d.k, d.v)
+		d.rekey(d.hmacInto(d.k, d.v, sep1, provided))
+		d.v = d.hmacInto(d.v, d.v)
 	}
 }
 
@@ -69,7 +81,7 @@ func (d *DRBG) Reseeds() int { return d.reseeds }
 func (d *DRBG) Read(p []byte) (int, error) {
 	n := 0
 	for n < len(p) {
-		d.v = d.hmac(d.k, d.v)
+		d.v = d.hmacInto(d.v, d.v)
 		n += copy(p[n:], d.v)
 	}
 	d.update(nil)

@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"io"
 	"math/big"
+	"sync/atomic"
 
 	"repro/internal/crypto/mp"
 )
@@ -22,6 +23,28 @@ import (
 type PublicKey struct {
 	N *big.Int // modulus
 	E int64    // public exponent
+
+	nctx montCache // Montgomery context for N, built on first use
+}
+
+// montCache holds the Montgomery context of one modulus, built on first
+// use and kept with the key. Concurrent first uses may each build one;
+// one of them is kept. A context whose modulus no longer matches the
+// key's (the field was reassigned) is rebuilt.
+type montCache struct {
+	p atomic.Pointer[mp.MontCtx]
+}
+
+func (m *montCache) get(n *big.Int) (*mp.MontCtx, error) {
+	if c := m.p.Load(); c != nil && c.N.Cmp(n) == 0 {
+		return c, nil
+	}
+	c, err := mp.NewMontCtx(n)
+	if err != nil {
+		return nil, err
+	}
+	m.p.Store(c)
+	return c, nil
 }
 
 // Size returns the modulus size in bytes.
@@ -35,6 +58,8 @@ type PrivateKey struct {
 	Dp   *big.Int // d mod (p-1)
 	Dq   *big.Int // d mod (q-1)
 	Qinv *big.Int // q^{-1} mod p
+
+	pctx, qctx montCache // Montgomery contexts for P and Q
 }
 
 // Errors returned by this package.
@@ -156,7 +181,7 @@ func (priv *PrivateKey) privateExp(c *big.Int, opts *Options) (*big.Int, error) 
 		if err != nil {
 			return nil, err
 		}
-		nctx, err := mp.NewMontCtx(priv.N)
+		nctx, err := priv.nctx.get(priv.N)
 		if err != nil {
 			return nil, err
 		}
@@ -167,7 +192,7 @@ func (priv *PrivateKey) privateExp(c *big.Int, opts *Options) (*big.Int, error) 
 
 	var m *big.Int
 	if opts.NoCRT {
-		nctx, err := mp.NewMontCtx(priv.N)
+		nctx, err := priv.nctx.get(priv.N)
 		if err != nil {
 			return nil, err
 		}
@@ -176,11 +201,11 @@ func (priv *PrivateKey) privateExp(c *big.Int, opts *Options) (*big.Int, error) 
 			m = flipBit(m, opts.Fault.FlipBit, priv.N)
 		}
 	} else {
-		pctx, err := mp.NewMontCtx(priv.P)
+		pctx, err := priv.pctx.get(priv.P)
 		if err != nil {
 			return nil, err
 		}
-		qctx, err := mp.NewMontCtx(priv.Q)
+		qctx, err := priv.qctx.get(priv.Q)
 		if err != nil {
 			return nil, err
 		}
@@ -205,7 +230,7 @@ func (priv *PrivateKey) privateExp(c *big.Int, opts *Options) (*big.Int, error) 
 		m.Mod(m, priv.N)
 	}
 	if opts.VerifyAfterSign {
-		nctx, err := mp.NewMontCtx(priv.N)
+		nctx, err := priv.nctx.get(priv.N)
 		if err != nil {
 			return nil, err
 		}
@@ -258,7 +283,8 @@ func flipBit(v *big.Int, bit int, mod *big.Int) *big.Int {
 }
 
 // EncryptPKCS1 encrypts msg under pub with PKCS#1 v1.5 (EME) padding,
-// drawing the nonzero padding string from rng.
+// drawing the nonzero padding string from rng: one read for the whole
+// string, then one more byte for each zero byte drawn.
 func EncryptPKCS1(rng io.Reader, pub *PublicKey, msg []byte) ([]byte, error) {
 	k := pub.Size()
 	if len(msg) > k-11 {
@@ -268,22 +294,20 @@ func EncryptPKCS1(rng io.Reader, pub *PublicKey, msg []byte) ([]byte, error) {
 	em[0] = 0x00
 	em[1] = 0x02
 	ps := em[2 : k-len(msg)-1]
+	if _, err := io.ReadFull(rng, ps); err != nil {
+		return nil, err
+	}
 	for i := range ps {
-		for {
-			var b [1]byte
-			if _, err := io.ReadFull(rng, b[:]); err != nil {
+		for ps[i] == 0 {
+			if _, err := io.ReadFull(rng, ps[i:i+1]); err != nil {
 				return nil, err
-			}
-			if b[0] != 0 {
-				ps[i] = b[0]
-				break
 			}
 		}
 	}
 	em[k-len(msg)-1] = 0x00
 	copy(em[k-len(msg):], msg)
 
-	ctx, err := mp.NewMontCtx(pub.N)
+	ctx, err := pub.nctx.get(pub.N)
 	if err != nil {
 		return nil, err
 	}
@@ -389,7 +413,7 @@ func VerifyPKCS1(pub *PublicKey, hashName string, digest, sig []byte) error {
 	if s.Cmp(pub.N) >= 0 {
 		return ErrVerification
 	}
-	ctx, err := mp.NewMontCtx(pub.N)
+	ctx, err := pub.nctx.get(pub.N)
 	if err != nil {
 		return err
 	}

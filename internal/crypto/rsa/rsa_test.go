@@ -3,6 +3,7 @@ package rsa
 import (
 	"bytes"
 	"math/big"
+	"sync"
 	"testing"
 
 	"repro/internal/crypto/mp"
@@ -244,5 +245,130 @@ func BenchmarkSignCRT512(b *testing.B) {
 		if _, err := SignPKCS1(k, "sha1", digest[:], nil); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestDecryptAllocs pins the RSA-512 private-key path's allocation
+// count, Montgomery contexts included once they are cached on the key.
+func TestDecryptAllocs(t *testing.T) {
+	k := testKey(t, 512)
+	ct, err := EncryptPKCS1(prng.NewDRBG([]byte("allocs")), &k.PublicKey, []byte("premaster secret"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := DecryptPKCS1(k, ct, nil); err != nil {
+		t.Fatal(err)
+	}
+	if a := testing.AllocsPerRun(50, func() {
+		if _, err := DecryptPKCS1(k, ct, nil); err != nil {
+			t.Fatal(err)
+		}
+	}); a > 48 {
+		t.Fatalf("DecryptPKCS1: %v allocs per call, want <= 48", a)
+	}
+}
+
+// countingReader counts Read calls. Its first read yields 0xab bytes
+// with zeros at the given offsets; later reads yield 0x42 bytes.
+type countingReader struct {
+	reads int
+	zeros []int
+}
+
+func (r *countingReader) Read(p []byte) (int, error) {
+	r.reads++
+	fill := byte(0x42)
+	if r.reads == 1 {
+		fill = 0xab
+	}
+	for i := range p {
+		p[i] = fill
+	}
+	if r.reads == 1 {
+		for _, i := range r.zeros {
+			p[i] = 0
+		}
+	}
+	return len(p), nil
+}
+
+// TestEncryptPaddingRedrawsOnlyZeros: the padding string is drawn in
+// one read, and only its zero bytes are drawn again, one read each.
+func TestEncryptPaddingRedrawsOnlyZeros(t *testing.T) {
+	k := testKey(t, 512)
+	msg := []byte("sixteen byte msg")
+	rng := &countingReader{zeros: []int{0, 7, 30}}
+	ct, err := EncryptPKCS1(rng, &k.PublicKey, msg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rng.reads != 1+len(rng.zeros) {
+		t.Fatalf("%d reads, want one for the padding plus %d redraws", rng.reads, len(rng.zeros))
+	}
+	em, err := k.privateExp(new(big.Int).SetBytes(ct), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	padded := leftPad(em.Bytes(), k.Size())
+	ps := padded[2 : k.Size()-len(msg)-1]
+	for i, b := range ps {
+		want := byte(0xab)
+		if i == 0 || i == 7 || i == 30 {
+			want = 0x42
+		}
+		if b != want {
+			t.Fatalf("padding byte %d = %#x, want %#x", i, b, want)
+		}
+	}
+	if got, err := DecryptPKCS1(k, ct, nil); err != nil || !bytes.Equal(got, msg) {
+		t.Fatalf("roundtrip: %q, %v", got, err)
+	}
+}
+
+// TestKeyContextsConcurrent: goroutines sharing one key — as a gateway's
+// sessions share its server key — build and use its cached Montgomery
+// contexts without a race (run under -race).
+func TestKeyContextsConcurrent(t *testing.T) {
+	k, err := GenerateKey(prng.NewDRBG([]byte("concurrent")), 512)
+	if err != nil {
+		t.Fatal(err)
+	}
+	digest := sha1.Sum([]byte("shared key"))
+	var wg sync.WaitGroup
+	errs := make(chan error, 8)
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			sig, err := SignPKCS1(k, "sha1", digest[:], nil)
+			if err == nil {
+				err = VerifyPKCS1(&k.PublicKey, "sha1", digest[:], sig)
+			}
+			errs <- err
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestContextFollowsReassignedModulus: replacing a key's modulus field
+// after use rebuilds its context instead of reusing the stale one.
+func TestContextFollowsReassignedModulus(t *testing.T) {
+	a, b := testKey(t, 512), testKey(t, 768)
+	pub := &PublicKey{N: a.N, E: a.E}
+	digest := sha1.Sum([]byte("rekeyed"))
+	sigA, _ := SignPKCS1(a, "sha1", digest[:], nil)
+	sigB, _ := SignPKCS1(b, "sha1", digest[:], nil)
+	if err := VerifyPKCS1(pub, "sha1", digest[:], sigA); err != nil {
+		t.Fatal(err)
+	}
+	pub.N = b.N
+	if err := VerifyPKCS1(pub, "sha1", digest[:], sigB); err != nil {
+		t.Fatalf("verify after reassigning N: %v", err)
 	}
 }

@@ -332,6 +332,11 @@ func (s *Server) readDeadline() time.Time {
 	return d
 }
 
+// peerCloseGrace is how long a session that finished its request during
+// a drain waits for a close_notify that may already be in flight before
+// it closes.
+const peerCloseGrace = 2 * time.Millisecond
+
 func (s *Server) drainingNow() bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -467,9 +472,15 @@ func (s *Server) serveConn(conn net.Conn, acceptUS int64) {
 		s.echoBytes.Add(int64(len(data)))
 		mEchoBytes.Add(int64(len(data)))
 		if s.drainingNow() {
-			// Finish the in-flight request, then leave politely.
-			tc.Close()
+			// Finish the in-flight request, then leave politely — unless
+			// the peer already sent close_notify, which makes this an
+			// ordinary end of stream.
 			rec.closeReason = "drain"
+			_ = tc.SetReadDeadline(time.Now().Add(peerCloseGrace))
+			if _, err := tc.Read(buf); err == io.EOF {
+				rec.closeReason = "eof"
+			}
+			tc.Close()
 			return
 		}
 	}

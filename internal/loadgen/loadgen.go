@@ -12,6 +12,7 @@
 package loadgen
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math"
@@ -34,9 +35,15 @@ var (
 	mClientsFailed = obs.C("load.clients_failed")
 	mRetries       = obs.C("load.retries")
 	mRecords       = obs.C("load.records_echoed")
+	mEchoMismatch  = obs.C("load.echo_mismatch")
 	hHandshake     = obs.H("load.handshake_ns", obs.DurationBuckets)
 	hRecordRTT     = obs.H("load.record_rtt_ns", obs.DurationBuckets)
 )
+
+// ErrEchoMismatch reports an echoed record whose bytes differ from the
+// bytes sent. The attempt fails (and is retried like any other failure),
+// and load.echo_mismatch counts it.
+var ErrEchoMismatch = errors.New("loadgen: echo differs from the record sent")
 
 // Config parameterizes a load run.
 type Config struct {
@@ -451,6 +458,11 @@ func (r *Runner) attempt(id, attempt int, st *sessionStats, root *obs.DSpan) err
 					return fmt.Errorf("record %d read: %w", rec+i, err)
 				}
 				got += n
+			}
+			if !bytes.Equal(buf, payload) {
+				esp.End()
+				mEchoMismatch.Inc()
+				return fmt.Errorf("record %d: %w", rec+i, ErrEchoMismatch)
 			}
 		}
 		rtt := time.Since(t0)

@@ -3,13 +3,19 @@ package loadgen
 import (
 	"context"
 	"encoding/json"
+	"errors"
+	"fmt"
 	"net"
+	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/backoff"
 	"repro/internal/chaos"
+	"repro/internal/crypto/prng"
 	"repro/internal/crypto/rsa"
 	"repro/internal/gateway"
+	"repro/internal/obs"
 	"repro/internal/obs/journal"
 	"repro/internal/wtls"
 )
@@ -205,5 +211,88 @@ func TestProgressJSONShape(t *testing.T) {
 	}
 	if v.Total != 5 || v.Done != 0 || v.Active {
 		t.Fatalf("progress payload: %+v", v)
+	}
+}
+
+// startFlipper boots a WTLS echo stub that flips one bit of the first
+// byte of every record it echoes back.
+func startFlipper(t *testing.T) (string, *wtls.Config) {
+	t.Helper()
+	ca, key, cert, err := gateway.DevPKI("loadgen-test", "gw.local", testBits)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	t.Cleanup(func() {
+		ln.Close()
+		wg.Wait()
+	})
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; ; i++ {
+			raw, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				tc := wtls.Server(raw, &wtls.Config{Certificate: cert, PrivateKey: key,
+					Rand: prng.NewDRBG([]byte(fmt.Sprintf("flipper/%d", i)))})
+				defer tc.Close()
+				_ = tc.SetDeadline(time.Now().Add(10 * time.Second))
+				buf := make([]byte, 4096)
+				for {
+					n, err := tc.Read(buf)
+					if err != nil {
+						return
+					}
+					buf[0] ^= 0x01
+					if _, err := tc.Write(buf[:n]); err != nil {
+						return
+					}
+				}
+			}(i)
+		}
+	}()
+	return ln.Addr().String(), &wtls.Config{RootCA: &ca.Key.PublicKey, ServerName: "gw.local"}
+}
+
+// TestEchoMismatchFailsAttempt: an echo that differs from the record
+// sent in a single bit fails the attempt, is retried like any other
+// failure, and counts in load.echo_mismatch.
+func TestEchoMismatchFailsAttempt(t *testing.T) {
+	obs.Default.SetEnabled(true)
+	defer obs.Default.SetEnabled(false)
+	before := mEchoMismatch.Value()
+
+	addr, client := startFlipper(t)
+	const conns, attempts = 3, 2
+	r, err := New(Config{
+		Addr: addr, WTLS: client,
+		Conns: conns, Concurrency: 1, Records: 2, Payload: 64,
+		Seed: 3, Attempts: attempts,
+		Backoff: backoff.Policy{Base: time.Millisecond, Max: time.Millisecond},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep := r.Run()
+	if rep.OK != 0 || rep.Failed != conns {
+		t.Fatalf("corrupted echoes passed: %s", rep)
+	}
+	if rep.Records != 0 {
+		t.Fatalf("%d corrupted records counted as echoed", rep.Records)
+	}
+	if !errors.Is(r.LastErr(), ErrEchoMismatch) {
+		t.Fatalf("last error %v, want ErrEchoMismatch", r.LastErr())
+	}
+	if got := mEchoMismatch.Value() - before; got != conns*attempts {
+		t.Fatalf("load.echo_mismatch rose by %d, want %d", got, conns*attempts)
 	}
 }

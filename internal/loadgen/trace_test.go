@@ -28,6 +28,9 @@ func hasGatewaySpan(n *obs.SpanNode) bool {
 // critical-path analyzer attributing the bulk of each session's wall
 // time to named spans.
 func TestEndToEndMergedTraces(t *testing.T) {
+	// Empty the shared ring first: the trace IDs derive from the seed,
+	// so an earlier run's spans would join this run's traces.
+	obs.DefaultDTracer.Reset()
 	obs.DefaultDTracer.SetEnabled(true)
 	obs.DefaultDTracer.SetProc("e2e-test")
 	obs.DefaultDTracer.SetSampleN(1)

@@ -18,11 +18,15 @@ var mSessionEvictions = obs.C("wtls.session_evictions")
 // mutex while staying small enough to iterate for Len.
 const sessionShards = 16
 
+// DefaultSessionCacheEntries is the entry cap of NewSessionCache.
+const DefaultSessionCacheEntries = 4096
+
 // SessionCache stores resumable sessions, keyed by server name on
 // clients and by session ID on servers. It is sharded by key hash with
 // per-shard locks, and optionally bounds its size (LRU eviction) and
-// entry age (TTL). The zero limits — NewSessionCache — keep every entry
-// forever, matching the pre-sharding semantics.
+// entry age (TTL). NewSessionCache bounds it at
+// DefaultSessionCacheEntries; NewSessionCacheSized(0, 0) keeps every
+// entry forever.
 type SessionCache struct {
 	maxEntries int           // total cap across shards; 0 = unlimited
 	ttl        time.Duration // 0 = no expiry
@@ -42,10 +46,14 @@ type sessionEntry struct {
 	savedAt time.Time
 }
 
-// NewSessionCache creates an unbounded session cache (no TTL, no LRU
-// cap).
+// NewSessionCache creates a session cache holding at most
+// DefaultSessionCacheEntries sessions, evicting the least recently used
+// (no TTL). A server's cache otherwise grows by one entry per full
+// handshake for as long as it runs; a session resumed every few
+// handshakes stays recently used and is never evicted. Evictions count
+// in wtls.session_evictions.
 func NewSessionCache() *SessionCache {
-	return NewSessionCacheSized(0, 0)
+	return NewSessionCacheSized(DefaultSessionCacheEntries, 0)
 }
 
 // NewSessionCacheSized creates a session cache holding at most

@@ -169,3 +169,34 @@ func TestSessionCacheResumptionSemantics(t *testing.T) {
 		t.Fatal("second handshake did not resume")
 	}
 }
+
+// TestDefaultSessionCacheBounded: the default cache stays within
+// DefaultSessionCacheEntries across 10 000 full handshakes' worth of
+// server entries (stored under "server:"+session ID, as the server's
+// full handshake stores them), while a session resumed every third
+// handshake is never evicted, and every eviction is counted.
+func TestDefaultSessionCacheBounded(t *testing.T) {
+	obs.Default.SetEnabled(true)
+	defer obs.Default.SetEnabled(false)
+	before := mSessionEvictions.Value()
+
+	sc := NewSessionCache()
+	const hot = "server:resumed-every-third"
+	sc.put(hot, testSession(0xaa))
+	for i := 0; i < 10000; i++ {
+		sc.put(fmt.Sprintf("server:%016x", uint64(i)*0x9e3779b97f4a7c15), testSession(byte(i)))
+		if i%3 == 2 && sc.get(hot) == nil {
+			t.Fatalf("resumed session evicted after %d full handshakes", i+1)
+		}
+	}
+	size := sc.Size()
+	if size > DefaultSessionCacheEntries {
+		t.Fatalf("Size = %d after 10000 full handshakes, cap %d", size, DefaultSessionCacheEntries)
+	}
+	if got, want := mSessionEvictions.Value()-before, int64(10001-size); got != want {
+		t.Fatalf("wtls.session_evictions rose by %d, want %d", got, want)
+	}
+	if unbounded := NewSessionCacheSized(0, 0); unbounded.shardCap() != 0 {
+		t.Fatal("NewSessionCacheSized(0, 0) is not unbounded")
+	}
+}

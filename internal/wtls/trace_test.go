@@ -6,10 +6,12 @@ import (
 	"repro/internal/obs"
 )
 
-// armDTrace arms the process-wide distributed tracer for one test and
+// armDTrace arms the process-wide distributed tracer for one test, with
+// its ring emptied of earlier tests' (and earlier runs') spans, and
 // restores the disarmed default afterwards.
 func armDTrace(t *testing.T) {
 	t.Helper()
+	obs.DefaultDTracer.Reset()
 	obs.DefaultDTracer.SetEnabled(true)
 	obs.DefaultDTracer.SetProc("wtls-test")
 	obs.DefaultDTracer.SetSampleN(1)

@@ -247,7 +247,8 @@ var (
 
 	// NewCA creates a certificate authority.
 	NewCA = wtls.NewCA
-	// NewSessionCache creates an unbounded resumption cache.
+	// NewSessionCache creates a resumption cache capped at 4096 entries
+	// (LRU); NewSessionCacheSized(0, 0) is unbounded.
 	NewSessionCache = wtls.NewSessionCache
 	// NewSessionCacheSized creates a resumption cache with an LRU entry
 	// cap and a TTL (either may be zero for unlimited).
